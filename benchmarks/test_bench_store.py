@@ -7,8 +7,8 @@ own append file.  This benchmark builds a ~1M-entry store across many
 targets, times the operations the service actually performs — cold
 load + single-target lookup, cold append, flat->sharded migration —
 and asserts the headline speedup (>= 5x on cold load).  The figures
-are written to ``BENCH_store.json`` in the working directory so CI can
-upload them as an artifact.
+go to ``benchmark.extra_info``, so ``--benchmark-json PATH`` writes them
+out; the test itself writes nothing outside its temporary directory.
 
 Entry count: ``REPRO_BENCH_STORE_ENTRIES`` when set, else 1M with
 timing enabled and 20k in smoke runs (``--benchmark-disable``), which
@@ -18,7 +18,6 @@ checks the invariants without the wait.
 import json
 import os
 import time
-from pathlib import Path
 
 from repro.api import Plan, Session, Target
 from repro.models import ConvLayerSpec
@@ -186,9 +185,6 @@ def test_store_sharded_vs_flat_at_scale(benchmark, tmp_path):
         "timing_enabled": not benchmark.disabled,
     }
     benchmark.extra_info.update(figures)
-    Path("BENCH_store.json").write_text(
-        json.dumps(figures, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
     # The wall-clock gates only apply when benchmarking is enabled:
     # smoke runs (--benchmark-disable) check the invariants, not timing.

@@ -17,7 +17,14 @@ from .device import (
     get_device,
 )
 from .batch import BatchSimulationResult, simulate_batch
-from .kernel import Kernel, KernelPlan, KernelPlanError, WorkgroupSize
+from .kernel import (
+    Kernel,
+    KernelColumns,
+    KernelPlan,
+    KernelPlanError,
+    PlanTable,
+    WorkgroupSize,
+)
 from .metrics import (
     KernelInstructionRow,
     RelativeSystemCounters,
@@ -41,9 +48,11 @@ __all__ = [
     "JETSON_NANO",
     "JETSON_TX2",
     "ODROID_XU4",
+    "PlanTable",
     "DeviceSpec",
     "GpuSimulator",
     "Kernel",
+    "KernelColumns",
     "KernelExecution",
     "KernelInstructionRow",
     "KernelPlan",

@@ -7,12 +7,13 @@ never needs a single point: the staircase figures profile *every*
 channel count of a layer and the heatmaps every pruning distance of
 every layer — thousands of plans whose cost model is pure arithmetic.
 
-:func:`simulate_batch` flattens the kernels of a whole sequence of plans
-into NumPy arrays and evaluates the identical roofline/utilisation/
-overhead model in a handful of vectorized operations.  Per-plan
-aggregates (kernel time, dispatch time, total time) come out as arrays
-aligned with the input plans, computed with segment reductions over the
-flat kernel arrays.
+:func:`simulate_batch` takes a :class:`~repro.gpusim.kernel.PlanTable`
+(one row per configuration, as the library planners produce for a whole
+channel sweep), flattens the kernels its rows dispatch into NumPy arrays
+and evaluates the identical roofline/utilisation/overhead model in a
+handful of vectorized operations.  Per-plan aggregates (kernel time,
+dispatch time, total time) come out as arrays aligned with the table's
+rows, computed with segment reductions over the flat kernel arrays.
 
 The arithmetic matches :class:`GpuSimulator` operation for operation
 (same formulas, same evaluation order), so per-kernel times are bitwise
@@ -23,27 +24,27 @@ floating-point summation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, Union
 
 import numpy as np
 
 from .device import DeviceSpec
-from .kernel import KernelPlan
+from .kernel import KernelPlan, PlanTable
 from .simulator import _MIN_UTILIZATION
 
 
 @dataclass(frozen=True)
 class BatchSimulationResult:
-    """Vectorized simulation of a sequence of kernel plans on one device.
+    """Vectorized simulation of a plan table on one device.
 
     Per-kernel quantities are flat arrays over the concatenated kernels
-    of all plans; kernel ``i`` of plan ``p`` lives at flat index
+    of all rows; kernel ``i`` of row ``p`` lives at flat index
     ``offsets[p] + i``.  Per-plan aggregates are arrays of length
-    ``len(plans)``.
+    ``len(table)``.
     """
 
     device: DeviceSpec
-    plans: Tuple[KernelPlan, ...]
+    table: PlanTable
     #: Segment boundaries: plan ``p`` owns kernels ``offsets[p]:offsets[p+1]``.
     offsets: np.ndarray
     arithmetic_time_s: np.ndarray
@@ -53,7 +54,7 @@ class BatchSimulationResult:
     job_counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.plans)
+        return len(self.table)
 
     # ------------------------------------------------------------------
     # Per-kernel quantities
@@ -72,7 +73,7 @@ class BatchSimulationResult:
     # Per-plan aggregates
     # ------------------------------------------------------------------
     def _segment_sum(self, values: np.ndarray) -> np.ndarray:
-        if not self.plans:
+        if not len(self):
             return np.zeros(0)
         return np.add.reduceat(values, self.offsets[:-1])
 
@@ -98,24 +99,30 @@ class BatchSimulationResult:
         return self.total_time_s * 1e3
 
 
-def simulate_batch(plans: Iterable[KernelPlan], device: DeviceSpec) -> BatchSimulationResult:
-    """Simulate a whole sequence of kernel plans in one vectorized pass.
+def simulate_batch(
+    plans: Union[PlanTable, Iterable[KernelPlan]], device: DeviceSpec
+) -> BatchSimulationResult:
+    """Simulate every row of a plan table in one vectorized pass.
 
+    ``plans`` is a :class:`PlanTable` (read column by column) or a
+    sequence of hand-built :class:`KernelPlan` objects, tabulated first.
     Equivalent to ``[GpuSimulator(device).simulate(plan) for plan in
     plans]`` but orders of magnitude cheaper for large batches: no
     per-kernel Python objects are created, and the cost model runs as a
-    few NumPy array operations over all kernels of all plans at once.
+    few NumPy array operations over all kernels of all rows at once.
     """
 
-    plans = tuple(plans)
-    kernels = [kernel for plan in plans for kernel in plan]
-    offsets = np.cumsum([0] + [len(plan) for plan in plans])
+    table = plans if isinstance(plans, PlanTable) else PlanTable.from_plans(plans)
+    present = table.matrix("present")
 
-    arith_instr = np.array([k.arithmetic_instructions for k in kernels], dtype=np.float64)
-    mem_instr = np.array([k.memory_instructions for k in kernels], dtype=np.float64)
-    work_items = np.array([k.work_items for k in kernels], dtype=np.float64)
-    vector_eff = np.array([k.vector_efficiency for k in kernels], dtype=np.float64)
-    mem_locality = np.array([k.memory_locality for k in kernels], dtype=np.float64)
+    def flat(name: str) -> np.ndarray:
+        return table.matrix(name)[present].astype(np.float64)
+
+    arith_instr = flat("arithmetic_instructions")
+    mem_instr = flat("memory_instructions")
+    work_items = flat("work_items")
+    vector_eff = flat("vector_efficiency")
+    mem_locality = flat("memory_locality")
 
     floor = max(_MIN_UTILIZATION, 1.0 / device.compute_units)
     utilization = np.maximum(
@@ -128,10 +135,10 @@ def simulate_batch(plans: Iterable[KernelPlan], device: DeviceSpec) -> BatchSimu
 
     return BatchSimulationResult(
         device=device,
-        plans=plans,
-        offsets=offsets,
+        table=table,
+        offsets=np.concatenate(([0], np.cumsum(present.sum(axis=1)))),
         arithmetic_time_s=arithmetic_time,
         memory_time_s=memory_time,
         utilization=utilization,
-        job_counts=np.array([plan.job_count for plan in plans], dtype=np.int64),
+        job_counts=(present & table.matrix("dispatches_job")).sum(axis=1),
     )

@@ -25,12 +25,14 @@ only pay a modest penalty.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, KernelPlan, WorkgroupSize
+from ..gpusim.kernel import KernelColumns, KernelPlan, PlanTable, WorkgroupSize
 from ..models.layers import ConvLayerSpec
-from .base import ConvolutionLibrary, register_library
+from .base import ConvolutionLibrary, exact_product, exact_sum, register_library
 
 #: Executed instructions per multiply-accumulate of the direct kernel.
 #: Direct convolution is a deep scalar loop nest with explicit address
@@ -65,39 +67,59 @@ _LOCALITY_NARROW_LARGE_MAP = 0.35
 _LARGE_MAP_THRESHOLD = 56
 
 
-def channel_divisibility(out_channels: int) -> int:
-    """Largest supported vector width (4, 2 or 1) dividing the channels."""
+def _by_divisibility(values: dict, dtype=None) -> np.ndarray:
+    """Lookup array indexed by a divisibility (1, 2 or 4)."""
 
-    if out_channels % 4 == 0:
-        return 4
-    if out_channels % 2 == 0:
-        return 2
-    return 1
-
-
-def select_workgroup(layer: ConvLayerSpec) -> WorkgroupSize:
-    """ACL's workgroup-size choice for a direct convolution layer."""
-
-    return WORKGROUP_BY_DIVISIBILITY[channel_divisibility(layer.out_channels)]
+    table = np.zeros(max(values) + 1, dtype=dtype)
+    for divisibility, value in values.items():
+        table[divisibility] = value
+    return table
 
 
-def kernel_efficiency(layer: ConvLayerSpec) -> Tuple[float, float]:
-    """(vector_efficiency, memory_locality) of the direct kernel."""
+_WORKGROUPS = _by_divisibility(WORKGROUP_BY_DIVISIBILITY, dtype=object)
+_POINTWISE = _by_divisibility(_POINTWISE_EFFICIENCY)
+_SPATIAL = _by_divisibility(_SPATIAL_EFFICIENCY)
+#: Whether each workgroup spans several output columns (x >= 2).
+_WIDE = _by_divisibility(
+    {divisibility: group.x >= 2 for divisibility, group in WORKGROUP_BY_DIVISIBILITY.items()},
+    dtype=bool,
+)
 
-    divisibility = channel_divisibility(layer.out_channels)
-    if layer.kernel_size == 1:
-        vector_efficiency = _POINTWISE_EFFICIENCY[divisibility]
+
+def channel_divisibility(out_channels):
+    """Largest supported vector width (4, 2 or 1) dividing the channels.
+
+    Works elementwise on an array of channel counts.
+    """
+
+    return 4 - 2 * (out_channels % 4 != 0) - (out_channels % 2 != 0)
+
+
+def select_workgroup(layer: ConvLayerSpec, channels=None):
+    """ACL's workgroup-size choice for a direct convolution layer.
+
+    With ``channels`` (an array of filter counts), one choice per count.
+    """
+
+    counts = layer.out_channels if channels is None else channels
+    return _WORKGROUPS[channel_divisibility(counts)]
+
+
+def kernel_efficiency(layer: ConvLayerSpec, channels=None) -> Tuple:
+    """(vector_efficiency, memory_locality) of the direct kernel.
+
+    With ``channels`` (an array of filter counts), one pair of arrays.
+    """
+
+    counts = layer.out_channels if channels is None else channels
+    divisibility = channel_divisibility(counts)
+    efficiencies = _POINTWISE if layer.kernel_size == 1 else _SPATIAL
+    if layer.input_hw >= _LARGE_MAP_THRESHOLD:
+        narrow = _LOCALITY_NARROW_LARGE_MAP
     else:
-        vector_efficiency = _SPATIAL_EFFICIENCY[divisibility]
-
-    workgroup = select_workgroup(layer)
-    if workgroup.x >= 2:
-        locality = _LOCALITY_WIDE
-    elif layer.input_hw >= _LARGE_MAP_THRESHOLD:
-        locality = _LOCALITY_NARROW_LARGE_MAP
-    else:
-        locality = _LOCALITY_NARROW_SMALL_MAP
-    return vector_efficiency, locality
+        narrow = _LOCALITY_NARROW_SMALL_MAP
+    locality = np.where(_WIDE[divisibility], _LOCALITY_WIDE, narrow)
+    return efficiencies[divisibility], locality
 
 
 @register_library
@@ -108,35 +130,44 @@ class AclDirectLibrary(ConvolutionLibrary):
     api = "opencl"
     version = "v19.02"
 
-    def instructions(self, layer: ConvLayerSpec) -> Tuple[int, int]:
-        """(arithmetic, memory) executed instructions of the kernel."""
+    def instructions(self, layer: ConvLayerSpec, out_channels) -> Tuple:
+        """(arithmetic, memory) executed instructions per filter count."""
 
-        arith = (
-            DIRECT_ARITH_PER_MAC * layer.macs
-            + DIRECT_ARITH_PER_OUTPUT * layer.output_activation_count
+        macs = exact_product(layer.macs_per_output_element, out_channels, layer.output_pixels)
+        outputs = exact_product(out_channels, layer.output_pixels)
+        arith = exact_sum(
+            exact_product(DIRECT_ARITH_PER_MAC, macs),
+            exact_product(DIRECT_ARITH_PER_OUTPUT, outputs),
         )
-        mem = DIRECT_MEM_PER_MAC * layer.macs
+        mem = exact_product(DIRECT_MEM_PER_MAC, macs)
         return arith, mem
 
-    def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
+    def plan(
+        self,
+        layer: ConvLayerSpec,
+        device: DeviceSpec,
+        channels: Optional[Sequence[int]] = None,
+    ) -> Union[KernelPlan, PlanTable]:
         self.check_device(device)
-        workgroup = select_workgroup(layer)
-        vector_efficiency, locality = kernel_efficiency(layer)
-        arith, mem = self.instructions(layer)
-        kernel = Kernel(
+        counts = layer.out_channel_array(channels)
+        workgroups = select_workgroup(layer, counts)
+        vector_efficiency, locality = kernel_efficiency(layer, counts)
+        arith, mem = self.instructions(layer, counts)
+        kernel = KernelColumns(
             name=f"direct_convolution{layer.kernel_size}x{layer.kernel_size}_nhwc",
             arithmetic_instructions=arith,
             memory_instructions=mem,
-            work_items=layer.output_activation_count,
-            workgroup=workgroup,
+            work_items=exact_product(counts, layer.output_pixels),
+            workgroup=workgroups,
             vector_efficiency=vector_efficiency,
             memory_locality=locality,
             dispatches_job=True,
             tag="direct",
         )
-        notes = (
-            f"workgroup={workgroup} divisibility={channel_divisibility(layer.out_channels)}"
-        )
-        return KernelPlan(
-            library=self.name, layer_name=layer.name, kernels=(kernel,), notes=notes
-        )
+        notes = [
+            f"workgroup={workgroup} divisibility={divisibility}"
+            for workgroup, divisibility in zip(
+                workgroups.tolist(), channel_divisibility(counts).tolist()
+            )
+        ]
+        return self._planned(layer, channels, notes, (kernel,))

@@ -26,12 +26,14 @@ calibration layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Any, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, KernelPlan, WorkgroupSize
+from ..gpusim.kernel import KernelColumns, KernelPlan, PlanTable, WorkgroupSize
 from ..models.layers import ConvLayerSpec, round_up
-from .base import ConvolutionLibrary, register_library
+from .base import ConvolutionLibrary, exact_product, exact_sum, register_library
 
 # ---------------------------------------------------------------------------
 # Calibration against the paper's Tables I-IV (ResNet-50 layer 16:
@@ -83,45 +85,48 @@ PIXELS_PER_WORK_ITEM = 4
 
 @dataclass(frozen=True)
 class GemmSplit:
-    """How the GEMM columns (padded output channels) are partitioned."""
+    """How the GEMM columns (padded output channels) are partitioned.
 
-    padded_channels: int
-    main_columns: int
-    remainder_columns: int
+    Fields are ints for one channel count, int64 arrays for a sweep.
+    """
+
+    padded_channels: Any
+    main_columns: Any
+    remainder_columns: Any
 
     @property
-    def is_split(self) -> bool:
+    def is_split(self) -> Any:
         return self.remainder_columns > 0
 
     @property
-    def total_columns(self) -> int:
+    def total_columns(self) -> Any:
         return self.main_columns + self.remainder_columns
 
 
-def pad_channels(out_channels: int) -> int:
-    """Pad a channel count to the vectorisation width."""
+def pad_channels(out_channels):
+    """Pad a channel count (or an array of them) to the vectorisation width."""
 
     return round_up(out_channels, VECTOR_WIDTH)
 
 
-def split_columns(out_channels: int) -> GemmSplit:
+def split_columns(out_channels) -> GemmSplit:
     """Decide whether the GEMM is dispatched as one kernel or two.
 
     The padded column count is processed by a single ``gemm_mm`` kernel
-    when it is a multiple of the dispatch granularity (8 columns);
-    otherwise the main kernel covers the largest multiple of the column
-    block (16) and a remainder kernel covers the rest.  This reproduces
-    the paper's observations exactly: 92 channels -> 80 + 12 columns
-    (Table I), 93..96 channels -> a single 96-column kernel (Tables
-    II/III), 97 channels -> 96 + 4 columns (Table IV).
+    when it is a multiple of the dispatch granularity (8 columns) or
+    smaller than one column block; otherwise the main kernel covers the
+    largest multiple of the column block (16) and a remainder kernel
+    covers the rest.  This reproduces the paper's observations exactly:
+    92 channels -> 80 + 12 columns (Table I), 93..96 channels -> a single
+    96-column kernel (Tables II/III), 97 channels -> 96 + 4 columns
+    (Table IV).  Works elementwise on an array of channel counts.
     """
 
     padded = pad_channels(out_channels)
-    if padded % DISPATCH_GRANULARITY == 0 or padded < COLUMN_BLOCK:
-        return GemmSplit(padded_channels=padded, main_columns=padded, remainder_columns=0)
-    main = (padded // COLUMN_BLOCK) * COLUMN_BLOCK
+    splits = (padded % DISPATCH_GRANULARITY != 0) & (padded >= COLUMN_BLOCK)
+    remainder = splits * (padded % COLUMN_BLOCK)
     return GemmSplit(
-        padded_channels=padded, main_columns=main, remainder_columns=padded - main
+        padded_channels=padded, main_columns=padded - remainder, remainder_columns=remainder
     )
 
 
@@ -132,10 +137,10 @@ def gemm_problem(layer: ConvLayerSpec) -> Tuple[int, int]:
     return rows, cols
 
 
-def _scale(value: int, numerator: int, denominator: int) -> int:
+def _scale(value, numerator: int, denominator: int):
     """Integer scaling that is exact for the calibration layer."""
 
-    return (value * numerator) // denominator
+    return exact_product(value, numerator) // denominator
 
 
 @register_library
@@ -149,16 +154,19 @@ class AclGemmLibrary(ConvolutionLibrary):
     # ------------------------------------------------------------------
     # Instruction-count model (calibrated against Tables I-IV)
     # ------------------------------------------------------------------
-    def im2col_instructions(self, layer: ConvLayerSpec) -> Tuple[int, int]:
-        """(arithmetic, memory) instructions of the im2col kernel."""
+    def im2col_instructions(self, layer: ConvLayerSpec, out_channels) -> Tuple[Any, Any]:
+        """(arithmetic, memory) instructions of im2col per filter count."""
 
         k_dim, n_dim = gemm_problem(layer)
         scale_num, scale_den = k_dim * n_dim, CALIBRATION_KN
-        arith = _scale(IM2COL_ARITH_BASE, scale_num, scale_den) + _scale(
-            IM2COL_ARITH_PER_CHANNEL * layer.out_channels, scale_num, scale_den
+        arith = exact_sum(
+            _scale(IM2COL_ARITH_BASE, scale_num, scale_den),
+            _scale(
+                exact_product(IM2COL_ARITH_PER_CHANNEL, out_channels), scale_num, scale_den
+            ),
         )
-        mem = _scale(IM2COL_MEM_PER_CHANNEL * layer.out_channels, scale_num, scale_den)
-        return arith, max(mem, 1)
+        mem = _scale(exact_product(IM2COL_MEM_PER_CHANNEL, out_channels), scale_num, scale_den)
+        return arith, np.maximum(mem, 1)
 
     def reshape_instructions(self, layer: ConvLayerSpec) -> Tuple[int, int]:
         """(arithmetic, memory) instructions of reshape_to_columns."""
@@ -166,7 +174,7 @@ class AclGemmLibrary(ConvolutionLibrary):
         k_dim, n_dim = gemm_problem(layer)
         elements = (k_dim + 1) * n_dim
         arith = _scale(RESHAPE_ARITH, elements, CALIBRATION_KN_BIAS)
-        mem = RESHAPE_MEM_PER_ELEMENT * elements
+        mem = exact_product(RESHAPE_MEM_PER_ELEMENT, elements)
         return arith, mem
 
     def gemm_instructions_per_column(self, layer: ConvLayerSpec) -> Tuple[int, int]:
@@ -180,15 +188,21 @@ class AclGemmLibrary(ConvolutionLibrary):
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
+    def plan(
+        self,
+        layer: ConvLayerSpec,
+        device: DeviceSpec,
+        channels: Optional[Sequence[int]] = None,
+    ) -> Union[KernelPlan, PlanTable]:
         self.check_device(device)
+        counts = layer.out_channel_array(channels)
         k_dim, n_dim = gemm_problem(layer)
-        split = split_columns(layer.out_channels)
-        kernels: List[Kernel] = []
-
-        im2col_arith, im2col_mem = self.im2col_instructions(layer)
-        kernels.append(
-            Kernel(
+        split = split_columns(counts)
+        im2col_arith, im2col_mem = self.im2col_instructions(layer, counts)
+        reshape_arith, reshape_mem = self.reshape_instructions(layer)
+        column_arith, column_mem = self.gemm_instructions_per_column(layer)
+        kernels = (
+            KernelColumns(
                 name=f"im2col{layer.kernel_size}x{layer.kernel_size}_nhwc",
                 arithmetic_instructions=im2col_arith,
                 memory_instructions=im2col_mem,
@@ -196,12 +210,8 @@ class AclGemmLibrary(ConvolutionLibrary):
                 workgroup=WorkgroupSize(8, 1, 1),
                 dispatches_job=False,
                 tag="im2col",
-            )
-        )
-
-        reshape_arith, reshape_mem = self.reshape_instructions(layer)
-        kernels.append(
-            Kernel(
+            ),
+            KernelColumns(
                 name="reshape_to_columns",
                 arithmetic_instructions=reshape_arith,
                 memory_instructions=reshape_mem,
@@ -209,42 +219,38 @@ class AclGemmLibrary(ConvolutionLibrary):
                 workgroup=WorkgroupSize(16, 1, 1),
                 dispatches_job=False,
                 tag="reshape",
+            ),
+            self._gemm_kernel(split.main_columns, column_arith, column_mem, n_dim, main=True),
+            self._gemm_kernel(
+                split.remainder_columns, column_arith, column_mem, n_dim, main=False
+            ),
+        )
+        notes = [
+            f"padded_channels={padded} main_columns={main} remainder_columns={remainder}"
+            for padded, main, remainder in zip(
+                split.padded_channels.tolist(),
+                split.main_columns.tolist(),
+                split.remainder_columns.tolist(),
             )
-        )
-
-        column_arith, column_mem = self.gemm_instructions_per_column(layer)
-        kernels.append(
-            self._gemm_kernel(split.main_columns, column_arith, column_mem, n_dim, main=True)
-        )
-        if split.is_split:
-            kernels.append(
-                self._gemm_kernel(
-                    split.remainder_columns, column_arith, column_mem, n_dim, main=False
-                )
-            )
-
-        notes = (
-            f"padded_channels={split.padded_channels} "
-            f"main_columns={split.main_columns} "
-            f"remainder_columns={split.remainder_columns}"
-        )
-        return KernelPlan(
-            library=self.name, layer_name=layer.name, kernels=tuple(kernels), notes=notes
-        )
+        ]
+        return self._planned(layer, channels, notes, kernels)
 
     def _gemm_kernel(
-        self, columns: int, column_arith: int, column_mem: int, n_dim: int, main: bool
-    ) -> Kernel:
-        work_items = max(1, (columns // VECTOR_WIDTH) or 1) * max(
-            1, n_dim // PIXELS_PER_WORK_ITEM
+        self, columns, column_arith: int, column_mem: int, n_dim: int, main: bool
+    ) -> KernelColumns:
+        """One gemm_mm kernel over ``columns`` (absent where that is 0)."""
+
+        work_items = exact_product(
+            np.maximum(columns // VECTOR_WIDTH, 1), max(1, n_dim // PIXELS_PER_WORK_ITEM)
         )
-        return Kernel(
+        return KernelColumns(
             name="gemm_mm",
-            arithmetic_instructions=column_arith * columns,
-            memory_instructions=column_mem * columns,
+            arithmetic_instructions=exact_product(column_arith, columns),
+            memory_instructions=exact_product(column_mem, columns),
             work_items=work_items,
             workgroup=WorkgroupSize(4, 4, 1) if main else WorkgroupSize(1, 4, 1),
             vector_efficiency=1.0 if main else REMAINDER_VECTOR_EFFICIENCY,
             dispatches_job=True,
             tag="gemm-main" if main else "gemm-remainder",
+            present=True if main else columns > 0,
         )

@@ -8,6 +8,15 @@ performs, which workgroup sizes to use and how many GPU jobs are
 created.  The resulting :class:`~repro.gpusim.kernel.KernelPlan` is then
 costed by the GPU simulator.
 
+Each library has a single planner, :meth:`ConvolutionLibrary.plan`, and
+it is array-native: given a channel array it computes every kernel field
+for all channel counts at once and returns a
+:class:`~repro.gpusim.kernel.PlanTable` with one row per count; without
+one it returns the one-row :class:`~repro.gpusim.kernel.KernelPlan` of
+the layer as specified.  Instruction counts are int64 columns, and
+:func:`exact_product` / :func:`exact_sum` raise on int64 overflow
+instead of wrapping.
+
 The split between *planner* (this package) and *simulator*
 (:mod:`repro.gpusim`) mirrors the paper's methodology: the unintuitive
 latency patterns are caused by library decisions, which the paper makes
@@ -17,16 +26,74 @@ visible by replaying them on a Mali GPU simulator.
 from __future__ import annotations
 
 import abc
-from typing import List, Type
+from typing import List, Optional, Sequence, Tuple, Type, Union
+
+import numpy as np
 
 from ..api.registry import Registry, UnknownPluginError, warn_deprecated
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import KernelPlan
+from ..gpusim.kernel import KernelColumns, KernelPlan, PlanTable
 from ..models.layers import ConvLayerSpec
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class LibraryError(ValueError):
     """Raised when a library cannot plan a layer (wrong API, bad shape)."""
+
+
+def _bound(value) -> int:
+    """Largest entry of a non-negative int column or int (0 when empty)."""
+
+    if isinstance(value, np.ndarray):
+        return int(value.max()) if value.size else 0
+    return int(value)
+
+
+def _exactly(combine, operands):
+    """Fold ``operands`` with ``combine`` over Python ints, then back to int64."""
+
+    exact = [
+        operand.astype(object) if isinstance(operand, np.ndarray) else int(operand)
+        for operand in operands
+    ]
+    result = exact[0]
+    for operand in exact[1:]:
+        result = combine(result, operand)
+    if _bound(np.asarray(result)) > _INT64_MAX:
+        raise OverflowError("instruction count overflows int64")
+    return np.asarray(result).astype(np.int64) if isinstance(result, np.ndarray) else result
+
+
+def exact_product(*factors):
+    """Elementwise product of non-negative int64 columns and ints.
+
+    Raises :class:`OverflowError` when any element exceeds int64 instead
+    of letting NumPy wrap it.  The product of the factors' maxima bounds
+    every element, so the exact (Python-int) path only runs when that
+    bound itself overflows.
+    """
+
+    bound = 1
+    for factor in factors:
+        bound *= _bound(factor)
+    if bound > _INT64_MAX:
+        return _exactly(lambda a, b: a * b, factors)
+    result = factors[0]
+    for factor in factors[1:]:
+        result = result * factor
+    return result
+
+
+def exact_sum(*terms):
+    """Elementwise sum of non-negative int64 columns and ints (see above)."""
+
+    if sum(_bound(term) for term in terms) > _INT64_MAX:
+        return _exactly(lambda a, b: a + b, terms)
+    result = terms[0]
+    for term in terms[1:]:
+        result = result + term
+    return result
 
 
 class UnknownLibraryError(UnknownPluginError):
@@ -53,8 +120,35 @@ class ConvolutionLibrary(abc.ABC):
             )
 
     @abc.abstractmethod
-    def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
-        """Plan the kernels dispatched to run one inference of ``layer``."""
+    def plan(
+        self,
+        layer: ConvLayerSpec,
+        device: DeviceSpec,
+        channels: Optional[Sequence[int]] = None,
+    ) -> Union[KernelPlan, PlanTable]:
+        """Plan the kernels dispatched to run one inference of ``layer``.
+
+        With ``channels``, plan the layer pruned to each of those filter
+        counts at once and return a :class:`PlanTable` with one row per
+        count; without, return the :class:`KernelPlan` of ``layer``.
+        """
+
+    def _planned(
+        self,
+        layer: ConvLayerSpec,
+        channels: Optional[Sequence[int]],
+        notes: List[str],
+        kernels: Tuple[KernelColumns, ...],
+    ) -> Union[KernelPlan, PlanTable]:
+        """Wrap a planner's columns: the table, or its row for ``channels=None``."""
+
+        table = PlanTable(
+            library=self.name,
+            layer_names=[layer.name] * len(notes),
+            notes=notes,
+            kernels=kernels,
+        )
+        return table if channels is not None else table.row(0)
 
     def plan_with_channels(
         self, layer: ConvLayerSpec, out_channels: int, device: DeviceSpec

@@ -23,12 +23,14 @@ ratios.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, KernelPlan, WorkgroupSize
+from ..gpusim.kernel import KernelColumns, KernelPlan, PlanTable, WorkgroupSize
 from ..models.layers import ConvLayerSpec
-from .base import ConvolutionLibrary, register_library
+from .base import ConvolutionLibrary, exact_product, register_library
 
 #: Executed instructions per multiply-accumulate of the implicit-GEMM
 #: kernel (FMA plus the index arithmetic of the implicit im2col).
@@ -47,21 +49,19 @@ TILE_SELECTION = ((128, 32), (256, 64), (float("inf"), 128))
 CUDNN_WORKGROUP = WorkgroupSize(32, 4, 1)
 
 
-def select_tile(out_channels: int) -> int:
-    """Output-channel tile the cuDNN heuristic picks for a layer."""
+def select_tile(out_channels):
+    """Output-channel tile the cuDNN heuristic picks (elementwise on arrays)."""
 
-    for limit, tile in TILE_SELECTION:
-        if out_channels <= limit:
-            return tile
-    raise AssertionError("TILE_SELECTION must cover all channel counts")
+    limits = [limit for limit, _ in TILE_SELECTION]
+    tiles = np.array([tile for _, tile in TILE_SELECTION])
+    return tiles[np.searchsorted(limits, out_channels)]
 
 
-def padded_channels(out_channels: int) -> Tuple[int, int]:
+def padded_channels(out_channels) -> Tuple:
     """(padded channel count, tile) after rounding up to full tiles."""
 
     tile = select_tile(out_channels)
-    tiles = -(-out_channels // tile)
-    return tiles * tile, tile
+    return exact_product(-(-out_channels // tile), tile), tile
 
 
 @register_library
@@ -72,21 +72,27 @@ class CudnnLibrary(ConvolutionLibrary):
     api = "cuda"
     version = "v7"
 
-    def instructions(self, layer: ConvLayerSpec) -> Tuple[int, int, int]:
-        """(arithmetic, memory, padded channels) of the conv kernel."""
+    def instructions(self, layer: ConvLayerSpec, padded) -> Tuple:
+        """(arithmetic, memory) of the conv kernel per padded filter count."""
 
-        padded, _tile = padded_channels(layer.out_channels)
-        padded_macs = layer.macs_per_output_element * padded * layer.output_pixels
-        arith = CUDNN_ARITH_PER_MAC * padded_macs
-        mem = CUDNN_MEM_PER_MAC * padded_macs
-        return arith, mem, padded
+        padded_macs = exact_product(
+            layer.macs_per_output_element, padded, layer.output_pixels
+        )
+        arith = exact_product(CUDNN_ARITH_PER_MAC, padded_macs)
+        mem = exact_product(CUDNN_MEM_PER_MAC, padded_macs)
+        return arith, mem
 
-    def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
+    def plan(
+        self,
+        layer: ConvLayerSpec,
+        device: DeviceSpec,
+        channels: Optional[Sequence[int]] = None,
+    ) -> Union[KernelPlan, PlanTable]:
         self.check_device(device)
-        arith, mem, padded = self.instructions(layer)
-        _, tile = padded_channels(layer.out_channels)
+        padded, tile = padded_channels(layer.out_channel_array(channels))
+        arith, mem = self.instructions(layer, padded)
         kernels = (
-            Kernel(
+            KernelColumns(
                 name="cudnn_convolution_setup",
                 arithmetic_instructions=CUDNN_FIXED_OVERHEAD_INSTRUCTIONS,
                 memory_instructions=CUDNN_FIXED_OVERHEAD_INSTRUCTIONS // 8,
@@ -95,17 +101,18 @@ class CudnnLibrary(ConvolutionLibrary):
                 dispatches_job=False,
                 tag="setup",
             ),
-            Kernel(
+            KernelColumns(
                 name="implicit_gemm_conv2d",
                 arithmetic_instructions=arith,
                 memory_instructions=mem,
-                work_items=max(1, padded * layer.output_pixels // 4),
+                work_items=np.maximum(exact_product(padded, layer.output_pixels) // 4, 1),
                 workgroup=CUDNN_WORKGROUP,
                 dispatches_job=True,
                 tag="conv",
             ),
         )
-        notes = f"tile_channels={tile} padded_channels={padded}"
-        return KernelPlan(
-            library=self.name, layer_name=layer.name, kernels=kernels, notes=notes
-        )
+        notes = [
+            f"tile_channels={tile_count} padded_channels={padded_count}"
+            for tile_count, padded_count in zip(tile.tolist(), padded.tolist())
+        ]
+        return self._planned(layer, channels, notes, kernels)

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import hashlib
 from enum import Enum
-from typing import Tuple
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, KernelPlan, WorkgroupSize
+from ..gpusim.kernel import KernelColumns, KernelPlan, PlanTable, WorkgroupSize
 from ..models.layers import ConvLayerSpec, round_up
-from .base import ConvolutionLibrary, register_library
+from .base import ConvolutionLibrary, exact_product, register_library
 
 #: Executed instructions per MAC of the tuned (GEMM-style) schedule.
 TVM_TUNED_ARITH_PER_MAC = 10
@@ -63,26 +65,53 @@ class ScheduleClass(Enum):
     FALLBACK = "fallback"
 
 
-def configuration_bucket(layer: ConvLayerSpec) -> int:
-    """Deterministic pseudo-random bucket (0..99) of a configuration."""
+#: Schedule classes in bucket order (fallback buckets first), and each
+#: class's cost model, indexed the same way.
+_SCHEDULES = (ScheduleClass.FALLBACK, ScheduleClass.MEDIOCRE, ScheduleClass.TUNED)
+_BUCKET_LIMITS = (FALLBACK_BUCKETS, FALLBACK_BUCKETS + MEDIOCRE_BUCKETS)
+_ARITH_PER_MAC = np.array(
+    [TVM_FALLBACK_ARITH_PER_MAC, TVM_TUNED_ARITH_PER_MAC, TVM_TUNED_ARITH_PER_MAC]
+)
+_MEM_PER_MAC = np.array([TVM_FALLBACK_MEM_PER_MAC, TVM_TUNED_MEM_PER_MAC, TVM_TUNED_MEM_PER_MAC])
+_EFFICIENCY = np.array(
+    [TVM_FALLBACK_EFFICIENCY, TVM_MEDIOCRE_EFFICIENCY, TVM_TUNED_EFFICIENCY]
+)
+_WORKGROUPS = np.array(
+    [WorkgroupSize(1, 1, 8), WorkgroupSize(4, 4, 1), WorkgroupSize(16, 4, 1)], dtype=object
+)
+_TAGS = np.array([klass.value for klass in _SCHEDULES], dtype=object)
+_NAMES = np.array([f"tvm_conv2d_{klass.value}" for klass in _SCHEDULES], dtype=object)
 
-    signature = (
+
+def configuration_bucket(layer: ConvLayerSpec, channels=None):
+    """Deterministic pseudo-random bucket (0..99) of a configuration.
+
+    With ``channels``, an int64 array with the bucket of each filter count.
+    """
+
+    prefix = (
         f"{TUNING_LOG_SALT}{layer.in_channels}x{layer.kernel_size}s{layer.stride}"
-        f"h{layer.input_hw}c{layer.out_channels}"
+        f"h{layer.input_hw}c"
     )
-    digest = hashlib.sha256(signature.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "little") % 100
+    counts = [layer.out_channels] if channels is None else np.asarray(channels).tolist()
+    buckets = [
+        int.from_bytes(hashlib.sha256(f"{prefix}{count}".encode("utf-8")).digest()[:4], "little")
+        % 100
+        for count in counts
+    ]
+    return buckets[0] if channels is None else np.array(buckets, dtype=np.int64)
+
+
+def _schedule_index(buckets):
+    """Position in ``_SCHEDULES`` of each bucket's schedule class."""
+
+    return np.searchsorted(_BUCKET_LIMITS, buckets, side="right")
 
 
 def schedule_class(layer: ConvLayerSpec) -> ScheduleClass:
     """Which schedule class TVM uses for this layer configuration."""
 
-    bucket = configuration_bucket(layer)
-    if bucket < FALLBACK_BUCKETS:
-        return ScheduleClass.FALLBACK
-    if bucket < FALLBACK_BUCKETS + MEDIOCRE_BUCKETS:
-        return ScheduleClass.MEDIOCRE
-    return ScheduleClass.TUNED
+    return _SCHEDULES[_schedule_index(configuration_bucket(layer))]
 
 
 @register_library
@@ -93,45 +122,31 @@ class TvmLibrary(ConvolutionLibrary):
     api = "opencl"
     version = "0.6"
 
-    def instructions(self, layer: ConvLayerSpec) -> Tuple[int, int, ScheduleClass]:
-        """(arithmetic, memory, schedule class) of the generated kernel."""
-
-        klass = schedule_class(layer)
-        padded_channels = round_up(layer.out_channels, 4)
-        padded_macs = layer.macs_per_output_element * padded_channels * layer.output_pixels
-        if klass is ScheduleClass.FALLBACK:
-            arith = TVM_FALLBACK_ARITH_PER_MAC * padded_macs
-            mem = TVM_FALLBACK_MEM_PER_MAC * padded_macs
-        else:
-            arith = TVM_TUNED_ARITH_PER_MAC * padded_macs
-            mem = TVM_TUNED_MEM_PER_MAC * padded_macs
-        return arith, mem, klass
-
-    def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
+    def plan(
+        self,
+        layer: ConvLayerSpec,
+        device: DeviceSpec,
+        channels: Optional[Sequence[int]] = None,
+    ) -> Union[KernelPlan, PlanTable]:
         self.check_device(device)
-        arith, mem, klass = self.instructions(layer)
-        if klass is ScheduleClass.TUNED:
-            efficiency = TVM_TUNED_EFFICIENCY
-            workgroup = WorkgroupSize(16, 4, 1)
-        elif klass is ScheduleClass.MEDIOCRE:
-            efficiency = TVM_MEDIOCRE_EFFICIENCY
-            workgroup = WorkgroupSize(4, 4, 1)
-        else:
-            efficiency = TVM_FALLBACK_EFFICIENCY
-            workgroup = WorkgroupSize(1, 1, 8)
-        kernel = Kernel(
-            name=f"tvm_conv2d_{klass.value}",
-            arithmetic_instructions=arith,
-            memory_instructions=mem,
-            work_items=layer.output_activation_count,
-            workgroup=workgroup,
-            vector_efficiency=efficiency,
+        counts = layer.out_channel_array(channels)
+        buckets = configuration_bucket(layer, counts)
+        schedule = _schedule_index(buckets)
+        padded_macs = exact_product(
+            layer.macs_per_output_element, round_up(counts, 4), layer.output_pixels
+        )
+        kernel = KernelColumns(
+            name=_NAMES[schedule],
+            arithmetic_instructions=exact_product(_ARITH_PER_MAC[schedule], padded_macs),
+            memory_instructions=exact_product(_MEM_PER_MAC[schedule], padded_macs),
+            work_items=exact_product(counts, layer.output_pixels),
+            workgroup=_WORKGROUPS[schedule],
+            vector_efficiency=_EFFICIENCY[schedule],
             dispatches_job=True,
-            tag=klass.value,
+            tag=_TAGS[schedule],
         )
-        return KernelPlan(
-            library=self.name,
-            layer_name=layer.name,
-            kernels=(kernel,),
-            notes=f"schedule={klass.value} bucket={configuration_bucket(layer)}",
-        )
+        notes = [
+            f"schedule={tag} bucket={bucket}"
+            for tag, bucket in zip(_TAGS[schedule].tolist(), buckets.tolist())
+        ]
+        return self._planned(layer, channels, notes, (kernel,))

@@ -20,9 +20,10 @@ All specs are immutable dataclasses; pruning produces *new* spec objects.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class LayerSpecError(ValueError):
@@ -177,6 +178,29 @@ class ConvLayerSpec(LayerSpec):
     # ------------------------------------------------------------------
     # Pruning
     # ------------------------------------------------------------------
+    def out_channel_array(self, channels: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Filter counts of a channel sweep as a validated int64 array.
+
+        ``None`` stands for this layer's own count.  Every count must
+        pass the checks :meth:`with_out_channels` would apply to it
+        (positive, divisible by ``groups``), so array-wide planning
+        rejects exactly the configurations a per-count spec would.
+        """
+
+        if channels is None:
+            return np.array([self.out_channels], dtype=np.int64)
+        counts = np.asarray(channels, dtype=np.int64)
+        if counts.ndim != 1:
+            raise LayerSpecError(f"channel counts must be one-dimensional, got {counts.shape}")
+        if len(counts) and counts.min() <= 0:
+            raise LayerSpecError(f"out_channels must be positive, got {counts.min()}")
+        if self.groups > 1 and np.any(counts % self.groups):
+            bad = counts[counts % self.groups != 0][0]
+            raise LayerSpecError(
+                f"out_channels={bad} not divisible by groups={self.groups}"
+            )
+        return counts
+
     def with_out_channels(self, out_channels: int) -> "ConvLayerSpec":
         """Return a copy of this spec with a different filter count.
 
@@ -328,9 +352,13 @@ def same_padding(kernel_size: int) -> int:
     return (kernel_size - 1) // 2
 
 
-def round_up(value: int, multiple: int) -> int:
-    """Round ``value`` up to the nearest multiple of ``multiple``."""
+def round_up(value, multiple: int):
+    """Round ``value`` up to the nearest multiple of ``multiple``.
+
+    Exact integer ceiling division, so it also works elementwise on
+    integer arrays and for values beyond float precision (2**53).
+    """
 
     if multiple <= 0:
         raise ValueError(f"multiple must be positive, got {multiple}")
-    return int(math.ceil(value / multiple) * multiple)
+    return -(-value // multiple) * multiple

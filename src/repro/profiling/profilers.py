@@ -17,7 +17,7 @@ from typing import Iterable, List
 import numpy as np
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import KernelPlan
+from ..gpusim.kernel import KernelPlan, PlanTable
 from ..gpusim.simulator import GpuSimulator, SimulationResult
 from .events import KernelEvent, ProfiledRun
 
@@ -36,7 +36,20 @@ def noise_material(device: DeviceSpec, plan: KernelPlan) -> str:
     sees the same deterministic perturbations.
     """
 
-    return f"{device.name}/{plan.library}/{plan.layer_name}/{plan.notes}"
+    return _material(device.name, plan.library, plan.layer_name, plan.notes)
+
+
+def noise_materials(device: DeviceSpec, table: PlanTable) -> List[str]:
+    """:func:`noise_material` of every row of a plan table, in row order."""
+
+    return [
+        _material(device.name, table.library, layer_name, notes)
+        for layer_name, notes in zip(table.layer_names, table.notes)
+    ]
+
+
+def _material(device_name: str, library: str, layer_name: str, notes: str) -> str:
+    return f"{device_name}/{library}/{layer_name}/{notes}"
 
 
 #: splitmix64 constants (Steele et al., "Fast splittable pseudorandom

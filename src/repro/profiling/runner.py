@@ -5,7 +5,8 @@ protocol (Section III-D): for each (device, library, layer, channel
 count) configuration, run the layer several times and report the median.
 
 Sweeps are batched: :meth:`ProfileRunner.measure_many` plans every
-requested channel count, costs all of them in one vectorized
+requested channel count with one array-wide library ``plan`` call,
+costs the resulting plan table in one vectorized
 :func:`~repro.gpusim.batch.simulate_batch` call and applies the
 repetition noise as a single array operation, so a full staircase sweep
 is one NumPy pass instead of ``channels x runs`` scalar simulations.
@@ -27,10 +28,11 @@ import numpy as np
 
 from ..gpusim.batch import simulate_batch
 from ..gpusim.device import DEVICES, DeviceSpec
+from ..gpusim.kernel import PlanTable
 from ..libraries.base import LIBRARIES, ConvolutionLibrary
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import COUNT_BUCKETS, default_registry
-from .profilers import noise_material, noise_matrix
+from .profilers import noise_materials, noise_matrix
 
 _SIMULATIONS = default_registry().counter(
     "repro_profile_simulations_total",
@@ -191,11 +193,13 @@ class ProfileRunner:
         )
 
     # ------------------------------------------------------------------
-    def _cache_key(self, layer: ConvLayerSpec, out_channels: int) -> Tuple[str, int]:
+    @staticmethod
+    def _layer_key(layer: ConvLayerSpec) -> str:
+        """Cache-key prefix of a layer; the key is ``(prefix, out_channels)``."""
+
         return (
             f"{layer.name}|{layer.in_channels}|{layer.kernel_size}|{layer.stride}|"
-            f"{layer.padding}|{layer.input_hw}",
-            out_channels,
+            f"{layer.padding}|{layer.input_hw}"
         )
 
     def measure(self, layer: ConvLayerSpec, out_channels: Optional[int] = None) -> Measurement:
@@ -203,7 +207,7 @@ class ProfileRunner:
 
         channels = layer.out_channels if out_channels is None else out_channels
         with self._lock:
-            cached = self._cache.get(self._cache_key(layer, channels))
+            cached = self._cache.get((self._layer_key(layer), channels))
             if cached is not None:
                 return cached
             return self.measure_many(layer, [channels])[0]
@@ -224,13 +228,14 @@ class ProfileRunner:
         for count in requested:
             if count < 1:
                 raise ValueError(f"out_channels must be >= 1, got {count}")
+        key = self._layer_key(layer)
         with self._lock:
             # Resolve against a local view so results survive even when
             # the bounded cache evicts entries of this very sweep.
             resolved: Dict[int, Measurement] = {}
             missing = []
             for count in dict.fromkeys(requested):
-                cached = self._cache.get(self._cache_key(layer, count))
+                cached = self._cache.get((key, count))
                 if cached is not None:
                     resolved[count] = cached
                 else:
@@ -242,12 +247,12 @@ class ProfileRunner:
                 )
                 for count, measurement in stored.items():
                     resolved[count] = measurement
-                    self._remember(layer, count, measurement)
+                    self._remember(key, count, measurement)
             if missing:
-                fresh = self._measure_batch(layer, missing)
+                fresh = self._measure_sweeps([(layer, missing)])
                 for measurement in fresh:
                     resolved[measurement.out_channels] = measurement
-                    self._remember(layer, measurement.out_channels, measurement)
+                    self._remember(key, measurement.out_channels, measurement)
                 if self.store is not None:
                     self.store.record(
                         self.device.name, self.library.name, self.runs, layer, fresh,
@@ -255,61 +260,57 @@ class ProfileRunner:
                     )
             return [resolved[count] for count in requested]
 
-    def _remember(self, layer: ConvLayerSpec, count: int, measurement: Measurement) -> None:
-        self._cache[self._cache_key(layer, count)] = measurement
+    def _remember(self, key: str, count: int, measurement: Measurement) -> None:
+        self._cache[(key, count)] = measurement
         if self.max_cache_entries is not None and len(self._cache) > self.max_cache_entries:
             self._cache.popitem(last=False)
 
-    def _measure_batch(
-        self, layer: ConvLayerSpec, channel_counts: List[int]
+    def _measure_sweeps(
+        self, sweeps: List[Tuple[ConvLayerSpec, List[int]]]
     ) -> List[Measurement]:
-        """Simulate the given channel counts in one vectorized pass."""
+        """Simulate every (layer, channel counts) sweep in one pass.
 
-        return self._measure_pairs([(layer, count) for count in channel_counts])
-
-    def _measure_pairs(
-        self, pairs: List[Tuple[ConvLayerSpec, int]]
-    ) -> List[Measurement]:
-        """Simulate arbitrary (layer, channel count) pairs in one pass.
-
-        Per-configuration times are bitwise identical regardless of how
-        pairs are grouped into batches: the cost model is elementwise
-        over kernels and the noise stream is counter-based per
-        configuration, so executors are free to batch across layers.
+        The library plans each sweep with one array-wide ``plan`` call;
+        the tables are stacked and costed by a single
+        :func:`~repro.gpusim.batch.simulate_batch` call.  Results follow
+        the order of ``sweeps`` and their counts.  Per-configuration
+        times are bitwise identical regardless of how configurations are
+        grouped into batches: the cost model is elementwise over kernels
+        and the noise stream is counter-based per configuration, so
+        executors are free to batch across layers.
         """
 
-        plans = [
-            self.library.plan_with_channels(layer, count, self.device)
-            for layer, count in pairs
-        ]
-        batch = simulate_batch(plans, self.device)
-        noise = noise_matrix(
-            (noise_material(self.device, plan) for plan in plans),
-            self.runs,
-            seed=self.seed,
+        table = PlanTable.concat(
+            [self.library.plan(layer, self.device, channels=counts) for layer, counts in sweeps]
         )
+        batch = simulate_batch(table, self.device)
+        noise = noise_matrix(noise_materials(self.device, table), self.runs, seed=self.seed)
         times_ms = batch.total_time_ms[:, np.newaxis] * noise
-        medians = np.median(times_ms, axis=1)
-        minima = times_ms.min(axis=1)
-        maxima = times_ms.max(axis=1)
-        self.simulations += len(plans)
+        medians = np.median(times_ms, axis=1).tolist()
+        minima = times_ms.min(axis=1).tolist()
+        maxima = times_ms.max(axis=1).tolist()
+        configurations = len(table)
+        self.simulations += configurations
         _SIMULATIONS.inc(
-            len(plans), device=self.device.name, library=self.library.name
+            configurations, device=self.device.name, library=self.library.name
         )
-        _BATCH_SIZE.observe(len(plans))
+        _BATCH_SIZE.observe(configurations)
+        counts = [count for _, group in sweeps for count in group]
         return [
             Measurement(
-                layer_name=layer.name,
+                layer_name=layer_name,
                 out_channels=count,
                 device_name=self.device.name,
                 library_name=self.library.name,
-                median_time_ms=float(medians[index]),
-                min_time_ms=float(minima[index]),
-                max_time_ms=float(maxima[index]),
+                median_time_ms=median,
+                min_time_ms=minimum,
+                max_time_ms=maximum,
                 runs=self.runs,
-                job_count=int(batch.job_counts[index]),
+                job_count=jobs,
             )
-            for index, (layer, count) in enumerate(pairs)
+            for layer_name, count, median, minimum, maximum, jobs in zip(
+                table.layer_names, counts, medians, minima, maxima, batch.job_counts.tolist()
+            )
         ]
 
     # ------------------------------------------------------------------
@@ -323,11 +324,12 @@ class ProfileRunner:
         touches the simulator only for the returned ones.
         """
 
+        key = self._layer_key(layer)
         with self._lock:
             missing = [
                 count
                 for count in dict.fromkeys(int(count) for count in channel_counts)
-                if self._cache.get(self._cache_key(layer, count)) is None
+                if self._cache.get((key, count)) is None
             ]
             if missing and self.store is not None:
                 stored, missing = self.store.lookup(
@@ -335,7 +337,7 @@ class ProfileRunner:
                     seed=self.seed,
                 )
                 for count, measurement in stored.items():
-                    self._remember(layer, count, measurement)
+                    self._remember(key, count, measurement)
             return missing
 
     def adopt(self, layer: ConvLayerSpec, measurements: Iterable[Measurement]) -> int:
@@ -346,15 +348,15 @@ class ProfileRunner:
         if this runner had measured them.  Returns the number adopted.
         """
 
+        key = self._layer_key(layer)
         with self._lock:
             fresh = [
                 measurement
                 for measurement in measurements
-                if self._cache.get(self._cache_key(layer, measurement.out_channels))
-                is None
+                if self._cache.get((key, measurement.out_channels)) is None
             ]
             for measurement in fresh:
-                self._remember(layer, measurement.out_channels, measurement)
+                self._remember(key, measurement.out_channels, measurement)
             if fresh and self.store is not None:
                 self.store.record(
                     self.device.name, self.library.name, self.runs, layer, fresh,
@@ -373,19 +375,20 @@ class ProfileRunner:
         """
 
         with self._lock:
-            pairs: List[Tuple[ConvLayerSpec, int]] = []
-            for layer, counts in sweeps:
-                pairs.extend(
-                    (layer, count) for count in self.pending_counts(layer, counts)
-                )
-            if not pairs:
+            pending = [(layer, self.pending_counts(layer, counts)) for layer, counts in sweeps]
+            pending = [(layer, counts) for layer, counts in pending if counts]
+            if not pending:
                 return 0
-            fresh = self._measure_pairs(pairs)
+            fresh = self._measure_sweeps(pending)
             by_layer: "OrderedDict[int, Tuple[ConvLayerSpec, List[Measurement]]]" = (
                 OrderedDict()
             )
-            for (layer, _), measurement in zip(pairs, fresh):
-                by_layer.setdefault(id(layer), (layer, []))[1].append(measurement)
+            start = 0
+            for layer, counts in pending:
+                by_layer.setdefault(id(layer), (layer, []))[1].extend(
+                    fresh[start:start + len(counts)]
+                )
+                start += len(counts)
             for layer, measurements in by_layer.values():
                 self.adopt(layer, measurements)
             return len(fresh)

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.models import (
@@ -202,6 +203,15 @@ class TestHelpers:
         assert round_up(93, 4) == 96
         assert round_up(1, 8) == 8
         assert round_up(16, 16) == 16
+
+    def test_round_up_is_exact_beyond_float_precision(self):
+        assert round_up(2**53 + 1, 2) == 2**53 + 2
+        assert round_up(2**53 + 1, 4) == 2**53 + 4
+        assert round_up(2**64 + 1, 8) == 2**64 + 8
+
+    def test_round_up_works_elementwise_on_arrays(self):
+        counts = np.array([1, 4, 5, 2**53 + 1], dtype=np.int64)
+        assert round_up(counts, 4).tolist() == [4, 4, 8, 2**53 + 4]
 
     def test_round_up_invalid_multiple(self):
         with pytest.raises(ValueError):
