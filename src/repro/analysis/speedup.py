@@ -6,11 +6,18 @@ prune 1, 3, 7, 15, 31, 63, 127 channels), report either the *speedup*
 achieved by the best channel count at that distance or the *maximum
 slowdown* risked.  This module computes those matrices from latency
 measurements.
+
+A matrix is measured in one cross-layer batch: each layer's window of
+channel counts ``[max(1, n - max(distances)), n]`` goes into a single
+:meth:`~repro.profiling.runner.ProfileRunner.measure_sweeps` call, and
+every (distance, layer) cell is a slice of its layer's window.  The
+per-distance helpers are one-layer views over the same cell function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..models.graph import ConvLayerRef
@@ -78,6 +85,56 @@ class SpeedupMatrix:
         return "\n".join(lines)
 
 
+def _validated_distances(prune_distances: Sequence[int]) -> List[int]:
+    """The pruning distances as a list; rejects empty, non-int, < 1 and repeats."""
+
+    distances = list(prune_distances)
+    if not distances:
+        raise ValueError("prune_distances must not be empty")
+    for distance in distances:
+        if isinstance(distance, bool) or not isinstance(distance, Integral):
+            raise ValueError(f"prune distance must be an int, got {distance!r}")
+        if distance < 1:
+            raise ValueError(f"prune distance must be >= 1, got {distance}")
+        if distances.count(distance) > 1:
+            raise ValueError(f"prune distance {distance} is given more than once")
+    return distances
+
+
+def _cells(
+    runner: ProfileRunner,
+    refs: Sequence[ConvLayerRef],
+    prune_distances: Sequence[int],
+    metric: str,
+) -> List[List[float]]:
+    """Heatmap cells per layer, then per distance, from one batched measurement.
+
+    Each layer is measured once over the channel counts
+    ``[max(1, n - max(distances)), n]``; the cell at distance ``d``
+    compares the counts ``[max(1, n - d), n)`` with the unpruned ``n``.
+    """
+
+    distances = _validated_distances(prune_distances)
+    for ref in refs:
+        if ref.spec.out_channels == 1:
+            raise ValueError(f"{ref.label} has one output channel: nothing can be pruned")
+    reach = max(distances)
+    sweeps = [
+        (ref.spec, range(max(1, ref.spec.out_channels - reach), ref.spec.out_channels + 1))
+        for ref in refs
+    ]
+    cells = []
+    for measurements in runner.measure_sweeps(sweeps):
+        times = [measurement.median_time_ms for measurement in measurements]
+        baseline = times[-1]
+        row = []
+        for distance in distances:
+            pruned = times[max(0, len(times) - 1 - distance):-1]
+            row.append(baseline / min(pruned) if metric == "speedup" else max(pruned) / baseline)
+        cells.append(row)
+    return cells
+
+
 def best_speedup_at_distance(
     runner: ProfileRunner, ref: ConvLayerRef, distance: int
 ) -> float:
@@ -90,13 +147,7 @@ def best_speedup_at_distance(
     slower than the unpruned layer.
     """
 
-    spec = ref.spec
-    lowest = max(1, spec.out_channels - distance)
-    counts = list(range(lowest, spec.out_channels))
-    measurements = runner.measure_many(spec, counts + [spec.out_channels])
-    baseline = measurements[-1].median_time_ms
-    best = min(measurement.median_time_ms for measurement in measurements[:-1])
-    return baseline / best
+    return _cells(runner, [ref], [distance], "speedup")[0][0]
 
 
 def worst_slowdown_at_distance(
@@ -109,12 +160,7 @@ def worst_slowdown_at_distance(
     relative to the unpruned layer.
     """
 
-    spec = ref.spec
-    counts = list(range(max(1, spec.out_channels - distance), spec.out_channels))
-    measurements = runner.measure_many(spec, counts + [spec.out_channels])
-    baseline = measurements[-1].median_time_ms
-    worst = max(measurement.median_time_ms for measurement in measurements[:-1])
-    return worst / baseline
+    return _cells(runner, [ref], [distance], "slowdown")[0][0]
 
 
 def speedup_matrix(
@@ -127,7 +173,8 @@ def speedup_matrix(
     """Compute a heatmap matrix over layers and pruning distances.
 
     ``metric`` is either ``"speedup"`` (Figures 6, 8-11, 13, 16, 17, 19)
-    or ``"slowdown"`` (Figure 1).
+    or ``"slowdown"`` (Figure 1).  Every layer is measured in one
+    :meth:`~repro.profiling.runner.ProfileRunner.measure_sweeps` call.
     """
 
     if metric not in ("speedup", "slowdown"):
@@ -142,11 +189,7 @@ def speedup_matrix(
         prune_distances=list(prune_distances),
         layer_labels=[ref.label for ref in refs],
     )
-    for ref in refs:
-        for distance in prune_distances:
-            if metric == "speedup":
-                value = best_speedup_at_distance(runner, ref, distance)
-            else:
-                value = worst_slowdown_at_distance(runner, ref, distance)
+    for ref, row in zip(refs, _cells(runner, refs, matrix.prune_distances, metric)):
+        for distance, value in zip(matrix.prune_distances, row):
             matrix.set(distance, ref.label, value)
     return matrix

@@ -21,7 +21,7 @@ its inputs — not the whole plan's measurement pool — are ready.
 ``batched``
     Per wavefront, the whole wave's measurement workload is planned up
     front and pushed through one cross-layer
-    :meth:`~repro.profiling.runner.ProfileRunner.prefetch` /
+    :meth:`~repro.profiling.runner.ProfileRunner.measure_sweeps` /
     :func:`~repro.gpusim.batch.simulate_batch` pass per target before
     the wave's steps run against warm caches.
 
@@ -310,7 +310,7 @@ class BatchedExecutor:
                 "executor.wave", backend=self.name, wave=index, width=len(wave)
             ):
                 for target, per_spec in _wave_workload(session, wave).items():
-                    session.runner(target).prefetch(
+                    session.runner(target).measure_sweeps(
                         (spec, sorted(counts)) for spec, counts in per_spec.items()
                     )
                 for step in wave:

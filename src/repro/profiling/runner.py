@@ -4,12 +4,13 @@
 protocol (Section III-D): for each (device, library, layer, channel
 count) configuration, run the layer several times and report the median.
 
-Sweeps are batched: :meth:`ProfileRunner.measure_many` plans every
-requested channel count with one array-wide library ``plan`` call,
-costs the resulting plan table in one vectorized
+Sweeps are batched: :meth:`ProfileRunner.measure_sweeps` plans each
+layer's requested channel counts with one array-wide library ``plan``
+call, costs every layer's plan table in one vectorized
 :func:`~repro.gpusim.batch.simulate_batch` call and applies the
-repetition noise as a single array operation, so a full staircase sweep
-is one NumPy pass instead of ``channels x runs`` scalar simulations.
+repetition noise as a single array operation, so many layers' staircase
+sweeps are one NumPy pass instead of ``channels x runs`` scalar
+simulations.  :meth:`ProfileRunner.measure_many` is its one-sweep form.
 Results are memoised in-process and — when a
 :class:`~repro.profiling.store.ProfileStore` is attached — persisted
 across processes.
@@ -26,6 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..api.registry import warn_deprecated
 from ..gpusim.batch import simulate_batch
 from ..gpusim.device import DEVICES, DeviceSpec
 from ..gpusim.kernel import PlanTable
@@ -137,8 +139,8 @@ class ProfileRunner:
     ``None`` for unbounded), so a long-lived runner cannot grow without
     limit.
 
-    Runners are thread-safe: measurement, adoption and prefetching are
-    serialized per runner, so concurrent plan steps hammering the same
+    Runners are thread-safe: measurement and adoption are serialized per
+    runner, so concurrent plan steps hammering the same
     (device, library) pair simulate each configuration exactly once and
     record it to the store exactly once.
     """
@@ -206,59 +208,80 @@ class ProfileRunner:
         """Median latency of a layer pruned to ``out_channels`` filters."""
 
         channels = layer.out_channels if out_channels is None else out_channels
-        with self._lock:
-            cached = self._cache.get((self._layer_key(layer), channels))
-            if cached is not None:
-                return cached
-            return self.measure_many(layer, [channels])[0]
+        return self.measure_sweeps([(layer, [channels])])[0][0]
 
     def measure_many(
         self, layer: ConvLayerSpec, channel_counts: Iterable[int]
     ) -> List[Measurement]:
-        """Measure the layer at each channel count in one batched pass.
+        """Measure the layer at each channel count: one sweep of :meth:`measure_sweeps`."""
 
-        The returned list is aligned with ``channel_counts`` (duplicates
-        included).  Counts already in the in-memory cache or the
-        attached profile store are served from there; only the rest is
-        simulated — in a single vectorized
-        :func:`~repro.gpusim.batch.simulate_batch` call.
+        return self.measure_sweeps([(layer, channel_counts)])[0]
+
+    def measure_sweeps(
+        self, sweeps: Iterable[Tuple[ConvLayerSpec, Iterable[int]]]
+    ) -> List[List[Measurement]]:
+        """Measure many (layer, channel counts) sweeps in one batched pass.
+
+        Returns one list per sweep, aligned with its counts (duplicates
+        included).  Each configuration is resolved once: from the cache,
+        else the store (one ``lookup`` per layer), else one cross-layer
+        :func:`~repro.gpusim.batch.simulate_batch` call over every
+        remaining configuration, stored with one ``record`` per layer.
         """
 
-        requested = [int(count) for count in channel_counts]
-        for count in requested:
-            if count < 1:
-                raise ValueError(f"out_channels must be >= 1, got {count}")
-        key = self._layer_key(layer)
+        requests = [
+            (layer, self._layer_key(layer), [int(count) for count in counts])
+            for layer, counts in sweeps
+        ]
+        invalid = [count for _, _, counts in requests for count in counts if count < 1]
+        if invalid:
+            raise ValueError(f"out_channels must be >= 1, got {invalid[0]}")
         with self._lock:
             # Resolve against a local view so results survive even when
-            # the bounded cache evicts entries of this very sweep.
-            resolved: Dict[int, Measurement] = {}
-            missing = []
-            for count in dict.fromkeys(requested):
+            # the bounded cache evicts entries of this very call.
+            resolved, pending = self._resolve(requests)
+            if pending:
+                fresh = self._measure_sweeps(pending)
+                start = 0
+                for layer, counts in pending:
+                    measured = fresh[start:start + len(counts)]
+                    start += len(counts)
+                    key = self._layer_key(layer)
+                    resolved.update(((key, m.out_channels), m) for m in measured)
+                    self.adopt(layer, measured)
+            return [[resolved[key, count] for count in counts] for _, key, counts in requests]
+
+    def _resolve(
+        self, requests: List[Tuple[ConvLayerSpec, str, List[int]]]
+    ) -> Tuple[Dict[Tuple[str, int], Measurement], List[Tuple[ConvLayerSpec, List[int]]]]:
+        """Serve ``(layer, layer key, counts)`` requests from the cache, then
+        the store: the served measurements by cache key and the unserved
+        ``(layer, counts)`` per layer, each count once."""
+
+        resolved: Dict[Tuple[str, int], Measurement] = {}
+        misses: Dict[str, Tuple[ConvLayerSpec, Dict[int, None]]] = {}
+        for layer, key, counts in requests:
+            layer_misses = misses.setdefault(key, (layer, {}))[1]
+            for count in counts:
                 cached = self._cache.get((key, count))
-                if cached is not None:
-                    resolved[count] = cached
+                if cached is None:
+                    layer_misses[count] = None
                 else:
-                    missing.append(count)
+                    resolved[key, count] = cached
+        pending = []
+        for key, (layer, layer_misses) in misses.items():
+            missing = list(layer_misses)
             if missing and self.store is not None:
                 stored, missing = self.store.lookup(
                     self.device.name, self.library.name, self.runs, layer, missing,
                     seed=self.seed,
                 )
                 for count, measurement in stored.items():
-                    resolved[count] = measurement
+                    resolved[key, count] = measurement
                     self._remember(key, count, measurement)
             if missing:
-                fresh = self._measure_sweeps([(layer, missing)])
-                for measurement in fresh:
-                    resolved[measurement.out_channels] = measurement
-                    self._remember(key, measurement.out_channels, measurement)
-                if self.store is not None:
-                    self.store.record(
-                        self.device.name, self.library.name, self.runs, layer, fresh,
-                        seed=self.seed,
-                    )
-            return [resolved[count] for count in requested]
+                pending.append((layer, missing))
+        return resolved, pending
 
     def _remember(self, key: str, count: int, measurement: Measurement) -> None:
         self._cache[(key, count)] = measurement
@@ -314,7 +337,7 @@ class ProfileRunner:
         ]
 
     # ------------------------------------------------------------------
-    # Executor support: prefetching and cross-process adoption
+    # Executor support: pending counts and cross-process adoption
     # ------------------------------------------------------------------
     def pending_counts(self, layer: ConvLayerSpec, channel_counts: Iterable[int]) -> List[int]:
         """Channel counts not served by the cache or the attached store.
@@ -324,28 +347,18 @@ class ProfileRunner:
         touches the simulator only for the returned ones.
         """
 
-        key = self._layer_key(layer)
         with self._lock:
-            missing = [
-                count
-                for count in dict.fromkeys(int(count) for count in channel_counts)
-                if self._cache.get((key, count)) is None
-            ]
-            if missing and self.store is not None:
-                stored, missing = self.store.lookup(
-                    self.device.name, self.library.name, self.runs, layer, missing,
-                    seed=self.seed,
-                )
-                for count, measurement in stored.items():
-                    self._remember(key, count, measurement)
-            return missing
+            counts = [int(count) for count in channel_counts]
+            _, pending = self._resolve([(layer, self._layer_key(layer), counts)])
+            return pending[0][1] if pending else []
 
     def adopt(self, layer: ConvLayerSpec, measurements: Iterable[Measurement]) -> int:
-        """Inject measurements made elsewhere (e.g. a worker process).
+        """Inject fresh measurements: this runner's own, or ones made
+        elsewhere (e.g. a worker process).
 
         Already-cached configurations are ignored; fresh ones enter the
-        in-memory cache and, when a store is attached, are persisted as
-        if this runner had measured them.  Returns the number adopted.
+        in-memory cache and, when a store is attached, are persisted in
+        one ``record`` call.  Returns the number adopted.
         """
 
         key = self._layer_key(layer)
@@ -364,34 +377,17 @@ class ProfileRunner:
                 )
             return len(fresh)
 
-    def prefetch(
-        self, sweeps: Iterable[Tuple[ConvLayerSpec, Iterable[int]]]
-    ) -> int:
-        """Measure many layers' sweeps in one cross-layer simulator batch.
+    def prefetch(self, sweeps: Iterable[Tuple[ConvLayerSpec, Iterable[int]]]) -> int:
+        """Warm the cache for many sweeps; returns the configurations simulated.
 
-        The batched executor calls this to warm the cache for a whole
-        step at once; every later per-layer lookup is then a hit.
-        Returns the number of configurations actually simulated.
+        .. deprecated:: Use :meth:`measure_sweeps`, which returns the measurements.
         """
 
+        warn_deprecated("ProfileRunner.prefetch", "ProfileRunner.measure_sweeps")
         with self._lock:
-            pending = [(layer, self.pending_counts(layer, counts)) for layer, counts in sweeps]
-            pending = [(layer, counts) for layer, counts in pending if counts]
-            if not pending:
-                return 0
-            fresh = self._measure_sweeps(pending)
-            by_layer: "OrderedDict[int, Tuple[ConvLayerSpec, List[Measurement]]]" = (
-                OrderedDict()
-            )
-            start = 0
-            for layer, counts in pending:
-                by_layer.setdefault(id(layer), (layer, []))[1].extend(
-                    fresh[start:start + len(counts)]
-                )
-                start += len(counts)
-            for layer, measurements in by_layer.values():
-                self.adopt(layer, measurements)
-            return len(fresh)
+            before = self.simulations
+            self.measure_sweeps(sweeps)
+            return self.simulations - before
 
     # ------------------------------------------------------------------
     def measure_channels(

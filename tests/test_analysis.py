@@ -13,8 +13,10 @@ from repro.analysis import (
     speedup_matrix,
     worst_slowdown_at_distance,
 )
-from repro.models import profiled_layer_refs
-from repro.profiling import build_latency_table
+from repro.models import ConvLayerSpec, profiled_layer_refs
+from repro.models.graph import ConvLayerRef
+from repro.profiling import ProfileRunner, build_latency_table
+from repro.profiling import runner as runner_module
 
 
 class TestPruneDistanceConstants:
@@ -97,6 +99,92 @@ class TestSpeedupMatrix:
     def test_empty_refs_rejected(self, cudnn_runner):
         with pytest.raises(ValueError):
             speedup_matrix(cudnn_runner, [], metric="speedup")
+
+
+def cold_runner():
+    return ProfileRunner.create("hikey-970", "acl-gemm", runs=3)
+
+
+class TestSpeedupMatrixBatching:
+    @pytest.fixture
+    def simulate_calls(self, monkeypatch):
+        calls = []
+        simulate = runner_module.simulate_batch
+
+        def counted(table, device):
+            calls.append(len(table))
+            return simulate(table, device)
+
+        monkeypatch.setattr(runner_module, "simulate_batch", counted)
+        return calls
+
+    def test_one_simulate_batch_call_per_matrix(self, simulate_calls):
+        runner = cold_runner()
+        refs = profiled_layer_refs("resnet50")
+        speedup_matrix(runner, refs, prune_distances=PAPER_PRUNE_DISTANCES)
+        assert simulate_calls == [runner.simulations]
+        speedup_matrix(runner, refs, prune_distances=(1, 31), metric="slowdown")
+        assert len(simulate_calls) == 1
+
+    @staticmethod
+    def reference_cell(runner, ref, distance, metric):
+        """A cell from its own per-distance measurements, without slicing."""
+
+        n = ref.spec.out_channels
+        counts = range(max(1, n - distance), n)
+        pruned = [m.median_time_ms for m in runner.measure_many(ref.spec, counts)]
+        baseline = runner.measure(ref.spec).median_time_ms
+        return baseline / min(pruned) if metric == "speedup" else max(pruned) / baseline
+
+    @pytest.mark.parametrize("metric", ["speedup", "slowdown"])
+    def test_cells_equal_the_per_distance_helpers(self, metric):
+        refs = profiled_layer_refs("alexnet") + profiled_layer_refs("resnet50")
+        matrix = speedup_matrix(cold_runner(), refs, PAPER_PRUNE_DISTANCES, metric=metric)
+        helper = best_speedup_at_distance if metric == "speedup" else worst_slowdown_at_distance
+        runner, reference = cold_runner(), cold_runner()
+        for ref in refs:
+            for distance in PAPER_PRUNE_DISTANCES:
+                cell = matrix.get(distance, ref.label)
+                assert cell == helper(runner, ref, distance)
+                assert cell == self.reference_cell(reference, ref, distance, metric)
+
+
+class TestPruneDistanceValidation:
+    @pytest.mark.parametrize(
+        "distances,message",
+        [
+            ((), "must not be empty"),
+            ((0,), "got 0"),
+            ((-3,), "got -3"),
+            ((2.5,), "got 2.5"),
+            ((True,), "got True"),
+            ((3, 3), "3 is given more than once"),
+        ],
+    )
+    def test_matrix_rejects_bad_distances(self, distances, message):
+        runner = cold_runner()
+        with pytest.raises(ValueError, match=message):
+            speedup_matrix(runner, profiled_layer_refs("alexnet"), prune_distances=distances)
+        assert runner.simulations == 0
+
+    @pytest.mark.parametrize("helper", [best_speedup_at_distance, worst_slowdown_at_distance])
+    @pytest.mark.parametrize("distance", [0, -3, 2.5])
+    def test_helpers_reject_bad_distances(self, helper, distance):
+        ref = profiled_layer_refs("alexnet")[0]
+        with pytest.raises(ValueError, match=f"got {distance}"):
+            helper(cold_runner(), ref, distance)
+
+    def test_single_channel_layer_rejected(self):
+        spec = ConvLayerSpec(
+            name="toy.conv", in_channels=8, out_channels=1,
+            kernel_size=3, stride=1, padding=1, input_hw=14,
+        )
+        ref = ConvLayerRef(network="toy", index=3, position=0, spec=spec)
+        refs = profiled_layer_refs("alexnet")[:1] + [ref]
+        with pytest.raises(ValueError, match="toy.L3"):
+            speedup_matrix(cold_runner(), refs, prune_distances=(1,))
+        with pytest.raises(ValueError, match="toy.L3"):
+            best_speedup_at_distance(cold_runner(), ref, 1)
 
 
 class TestLatencyCurve:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import DEFAULT_MAX_CACHE_ENTRIES, Session, Target
 from repro.models import ConvLayerSpec
-from repro.profiling import ProfileRunner
+from repro.profiling import ProfileRunner, ProfileStore
 
 TARGET = Target("hikey-970", "acl-gemm")
 
@@ -50,6 +50,97 @@ class TestMeasureMany:
         measurements = runner.measure_many(LAYER, range(1, 25))
         assert [m.out_channels for m in measurements] == list(range(1, 25))
         assert runner.cache_size() == 4
+
+
+def spy_store(store):
+    """Record every store lookup and record call as its list of counts."""
+
+    calls = {"lookup": [], "record": []}
+    lookup, record = store.lookup, store.record
+
+    def counted_lookup(device, library, runs, layer, counts, seed=0):
+        calls["lookup"].append(list(counts))
+        return lookup(device, library, runs, layer, counts, seed=seed)
+
+    def counted_record(device, library, runs, layer, measurements, seed=0):
+        calls["record"].append([m.out_channels for m in measurements])
+        return record(device, library, runs, layer, measurements, seed=seed)
+
+    store.lookup, store.record = counted_lookup, counted_record
+    return calls
+
+
+def sweep_layer(index):
+    return ConvLayerSpec(
+        name=f"test.sweeps.conv{index}", in_channels=16 * (index + 1), out_channels=64,
+        kernel_size=3, stride=1, padding=1, input_hw=14,
+    )
+
+
+class TestMeasureSweeps:
+    def stored_runner(self, tmp_path):
+        runner = ProfileRunner.create("hikey-970", "acl-gemm", runs=2)
+        runner.store = ProfileStore(tmp_path / "profiles.jsonl")
+        return runner, spy_store(runner.store)
+
+    def test_duplicate_count_in_one_sweep_is_simulated_and_recorded_once(self, tmp_path):
+        runner, calls = self.stored_runner(tmp_path)
+        (measurements,) = runner.measure_sweeps([(LAYER, [8, 4, 8])])
+        assert [m.out_channels for m in measurements] == [8, 4, 8]
+        assert measurements[0] is measurements[2]
+        assert runner.simulations == 2
+        assert calls == {"lookup": [[8, 4]], "record": [[8, 4]]}
+
+    def test_duplicate_count_across_sweeps_of_one_layer_is_simulated_once(self, tmp_path):
+        runner, calls = self.stored_runner(tmp_path)
+        first, second = runner.measure_sweeps([(LAYER, [4, 8]), (LAYER, [8, 12])])
+        assert [m.out_channels for m in first] == [4, 8]
+        assert [m.out_channels for m in second] == [8, 12]
+        assert first[1] is second[0]
+        assert runner.simulations == 3
+        assert calls == {"lookup": [[4, 8, 12]], "record": [[4, 8, 12]]}
+
+    def test_one_lookup_and_record_per_layer(self, tmp_path):
+        runner, calls = self.stored_runner(tmp_path)
+        runner.measure_many(LAYER, [4])
+        calls["lookup"].clear(), calls["record"].clear()
+        runner.measure_sweeps([(LAYER, [4, 8]), (OTHER_LAYER, [4, 8])])
+        assert calls == {"lookup": [[8], [4, 8]], "record": [[8], [4, 8]]}
+
+    def test_store_hits_are_served_not_simulated(self, tmp_path):
+        warm, _ = self.stored_runner(tmp_path)
+        warm.measure_sweeps([(LAYER, [4, 8]), (OTHER_LAYER, [4])])
+        cold = ProfileRunner.create("hikey-970", "acl-gemm", runs=2)
+        cold.store = ProfileStore(tmp_path / "profiles.jsonl")
+        swept = cold.measure_sweeps([(LAYER, [4, 8]), (OTHER_LAYER, [4])])
+        assert cold.simulations == 0
+        assert swept == [warm.measure_many(LAYER, [4, 8]), warm.measure_many(OTHER_LAYER, [4])]
+
+    def test_bounded_cache_returns_complete_aligned_results(self):
+        layers = [sweep_layer(index) for index in range(3)]
+        counts = list(range(64, 0, -1))
+        runner = ProfileRunner.create("jetson-tx2", "cudnn", runs=2)
+        runner.max_cache_entries = 16
+        swept = runner.measure_sweeps([(layer, counts) for layer in layers])
+        assert runner.simulations == 3 * 64
+        assert runner.cache_size() == 16
+        reference = ProfileRunner.create("jetson-tx2", "cudnn", runs=2)
+        for layer, measurements in zip(layers, swept):
+            assert [m.out_channels for m in measurements] == counts
+            assert measurements == reference.measure_many(layer, counts)
+
+    def test_invalid_count_rejected_before_measuring(self):
+        runner = ProfileRunner.create("hikey-970", "acl-gemm", runs=2)
+        with pytest.raises(ValueError, match="got 0"):
+            runner.measure_sweeps([(LAYER, [4]), (OTHER_LAYER, [0])])
+        assert runner.simulations == 0
+
+    def test_prefetch_is_a_deprecated_alias(self):
+        runner = ProfileRunner.create("hikey-970", "acl-gemm", runs=2)
+        with pytest.warns(DeprecationWarning, match="measure_sweeps"):
+            assert runner.prefetch([(LAYER, [4, 8]), (OTHER_LAYER, [4])]) == 3
+        runner.measure_many(LAYER, [4, 8, 12])
+        assert runner.simulations == 4
 
 
 class TestSessionStore:

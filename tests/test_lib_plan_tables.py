@@ -197,14 +197,12 @@ class TestRunnerPlansOncePerLayerGroup:
         runner.measure_many(layer16, range(1, 129))
         assert calls == [128]
 
-    def test_prefetch_plans_each_layer_group_once(self, layers):
+    def test_measure_sweeps_plans_each_layer_group_once(self, layers):
         runner = ProfileRunner.create("jetson-tx2", "cudnn", runs=3)
         calls = self.counting(runner.library)
-        simulated = runner.prefetch([(layer, range(1, 33)) for layer in layers])
-        assert simulated == 3 * 32
+        swept = runner.measure_sweeps([(layer, range(1, 33)) for layer in layers])
+        assert runner.simulations == 3 * 32
         assert calls == [32, 32, 32]
         reference = ProfileRunner.create("jetson-tx2", "cudnn", runs=3)
-        for layer in layers:
-            assert runner.measure_many(layer, range(1, 33)) == reference.measure_many(
-                layer, range(1, 33)
-            )
+        for layer, measurements in zip(layers, swept):
+            assert measurements == reference.measure_many(layer, range(1, 33))
