@@ -26,6 +26,7 @@ from ..gpusim.device import DEVICES, DeviceSpec
 from ..libraries.base import LIBRARIES, ConvolutionLibrary
 from ..models.graph import Network
 from ..models.layers import ConvLayerSpec
+from ..numerics import fold_sum
 from ..profiling.latency_table import LatencyTable, build_latency_table
 from ..profiling.runner import ProfileRunner
 from .accuracy_model import AccuracyModel, default_accuracy_model
@@ -299,7 +300,7 @@ class PerformanceAwarePruner:
         channels: Dict[int, int] = {
             index: profiles[index].spec.out_channels for index in indices
         }
-        baseline_latency = sum(profiles[index].original_time_ms for index in indices)
+        baseline_latency = fold_sum(profiles[index].original_time_ms for index in indices)
         current_latency = baseline_latency
         baseline_accuracy = accuracy_model.predict(network)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..numerics import fold_sum
 from ..profiling.latency_table import LatencyTable
 
 #: Relative latency change between neighbouring channel counts that
@@ -152,7 +153,7 @@ def detect_plateaus(
                 Plateau(
                     min_channels=channel_counts[run_start],
                     max_channels=channel_counts[index - 1],
-                    mean_time_ms=sum(run_times) / len(run_times),
+                    mean_time_ms=fold_sum(run_times) / len(run_times),
                 )
             )
             run_start = index
@@ -167,16 +168,19 @@ def cluster_levels(
     Returns the representative (mean) time of each level, ascending.
     """
 
+    # Each level is a running ``[total, size]`` fold: the same bits as
+    # re-summing its members left to right, without the quadratic cost.
     levels: List[List[float]] = []
     for time in sorted(times_ms):
         for level in levels:
-            centre = sum(level) / len(level)
+            centre = level[0] / level[1]
             if abs(time - centre) / centre <= relative_tolerance:
-                level.append(time)
+                level[0] += time
+                level[1] += 1
                 break
         else:
-            levels.append([time])
-    return [sum(level) / len(level) for level in levels]
+            levels.append([time, 1])
+    return [total / size for total, size in levels]
 
 
 def analyze_table(

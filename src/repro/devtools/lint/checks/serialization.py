@@ -8,11 +8,11 @@ forgotten in either method silently drops state across the wire or the
 on-disk store.
 
 The analysis is name-based: constructor fields come from ``__init__``
-parameters (or, for dataclasses, annotated class-body fields), and a
-method "covers" a field when it either uses a wholesale shortcut
-(``dataclasses.asdict(self)`` / ``cls(**payload)``) or mentions the
-field's name as a string key or keyword argument.  Classes taking
-``**kwargs`` in ``__init__`` are skipped — their field set is open.
+or ``__new__`` parameters (or, for dataclasses, annotated class-body
+fields), and a method "covers" a field when it either uses a wholesale
+shortcut (``dataclasses.asdict(self)`` / ``cls(**payload)``) or mentions
+the field's name as a string key or keyword argument.  Classes taking
+``**kwargs`` in their constructor are skipped — their field set is open.
 """
 
 from __future__ import annotations
@@ -38,18 +38,14 @@ def _annotation_is_classvar(annotation: ast.AST) -> bool:
 def _constructor_fields(class_def: ast.ClassDef) -> Optional[List[str]]:
     """Constructor field names, or ``None`` when the set is open/unknown."""
 
-    init: Optional[ast.FunctionDef] = None
-    for statement in class_def.body:
-        if isinstance(statement, ast.FunctionDef) and statement.name == "__init__":
-            init = statement
-            break
+    init = _method(class_def, "__init__", "__new__")
     if init is not None:
         if init.args.kwarg is not None or init.args.vararg is not None:
             return None
         names = [arg.arg for arg in init.args.posonlyargs]
         names += [arg.arg for arg in init.args.args]
         names += [arg.arg for arg in init.args.kwonlyargs]
-        return [name for name in names if name != "self"]
+        return [name for name in names if name not in ("self", "cls")]
     # Dataclass idiom: annotated class-body fields are init parameters.
     fields: List[str] = []
     for statement in class_def.body:

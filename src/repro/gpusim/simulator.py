@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..numerics import fold_sum
 from .device import DeviceSpec
 from .kernel import Kernel, KernelPlan
 
@@ -91,7 +92,7 @@ class SimulationResult:
     def kernel_time_s(self) -> float:
         """Time spent in kernels (compute + per-kernel launch overhead)."""
 
-        return sum(execution.total_time_s for execution in self.kernel_executions)
+        return fold_sum(execution.total_time_s for execution in self.kernel_executions)
 
     @property
     def job_dispatch_time_s(self) -> float:

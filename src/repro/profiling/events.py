@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..numerics import fold_sum
+
 
 @dataclass(frozen=True)
 class KernelEvent:
@@ -75,7 +77,7 @@ class ProfiledRun:
     def kernel_time_s(self) -> float:
         """Sum of on-GPU kernel durations (excludes dispatch gaps)."""
 
-        return sum(event.duration_s for event in self.events)
+        return fold_sum(event.duration_s for event in self.events)
 
     def kernel_names(self) -> List[str]:
         return [event.kernel_name for event in self.events]

@@ -68,26 +68,33 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _seed_of(seed_material: str, seed: int = 0) -> np.uint64:
-    """Per-configuration splitmix64 seed, optionally forked by a stream seed.
+def _seeds_of(seed_materials: Iterable[str], seed: int = 0) -> np.ndarray:
+    """Per-configuration splitmix64 seeds, optionally forked by a stream seed.
 
-    ``seed == 0`` (the default) reproduces the historical stream exactly;
-    any other value splits off an independent but equally deterministic
-    stream, so two sessions built with the same seed see identical
-    measurements without sharing a profile store.
+    Each seed is the first 8 bytes (little-endian) of the sha256 of its
+    UTF-8 material: the whole digests are joined into one buffer, read
+    as uint64 words and every fourth word kept.  ``seed == 0`` (the
+    default) reproduces the historical stream exactly; any other value
+    splits off an independent but equally deterministic stream, so two
+    sessions built with the same seed see identical measurements without
+    sharing a profile store.
     """
 
-    digest = hashlib.sha256(seed_material.encode("utf-8")).digest()
-    value = int.from_bytes(digest[:8], "little")
+    digests = b"".join(
+        [hashlib.sha256(material).digest() for material in map(str.encode, seed_materials)]
+    )
+    seeds = np.frombuffer(digests, dtype="<u8")[::4].astype(np.uint64)
     if seed:
-        # The splitmix64 finalizer in plain Python ints: scalar NumPy
-        # uint64 multiplies warn on (expected, harmless) overflow.
-        mask = 2**64 - 1
-        z = (value + seed * int(_SPLITMIX_GAMMA)) & mask
-        z = ((z ^ (z >> 30)) * int(_SPLITMIX_MUL1)) & mask
-        z = ((z ^ (z >> 27)) * int(_SPLITMIX_MUL2)) & mask
-        value = z ^ (z >> 31)
-    return np.uint64(value)
+        # Reduce the offset as a Python int: only whole arrays take part
+        # in uint64 arithmetic, which wraps without warning.
+        seeds = _splitmix64(seeds + np.uint64(seed * int(_SPLITMIX_GAMMA) % 2**64))
+    return seeds
+
+
+def _seed_of(seed_material: str, seed: int = 0) -> np.uint64:
+    """:func:`_seeds_of` of one material."""
+
+    return _seeds_of([seed_material], seed)[0]
 
 
 def _factors_from_seeds(seeds: np.ndarray, runs: int) -> np.ndarray:
@@ -121,9 +128,7 @@ def noise_matrix(seed_materials: Iterable[str], runs: int, seed: int = 0) -> np.
     one array operation.
     """
 
-    seeds = np.array(
-        [_seed_of(material, seed) for material in seed_materials], dtype=np.uint64
-    )
+    seeds = _seeds_of(seed_materials, seed)
     if not len(seeds):
         return np.zeros((0, runs))
     return _factors_from_seeds(seeds, runs)

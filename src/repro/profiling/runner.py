@@ -21,7 +21,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from itertools import islice, repeat
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -55,8 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: of 10 runs).
 DEFAULT_RUNS = 10
 
-#: Default bound on memoised measurements per runner.  At ~200 bytes per
-#: measurement this caps a runner's cache in the tens of megabytes while
+#: Default bound on memoised measurements per runner.  At ~360 bytes per
+#: cached measurement (a 112-byte record, its three floats, its cache key
+#: and the cache's own entry) this caps a runner's cache near 24 MB while
 #: holding far more configurations than the full model zoo sweeps need.
 DEFAULT_MEASUREMENT_CACHE_ENTRIES = 65536
 
@@ -65,9 +67,8 @@ class MeasurementError(ValueError):
     """Raised when a measurement is structurally invalid."""
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Median latency of one measured layer configuration."""
+class _MeasurementFields(NamedTuple):
+    """The fields of :class:`Measurement`, which validates them."""
 
     layer_name: str
     out_channels: int
@@ -79,24 +80,59 @@ class Measurement:
     runs: int
     job_count: int
 
-    def __post_init__(self) -> None:
-        if self.runs < 1:
+
+class Measurement(_MeasurementFields):
+    """Median latency of one measured layer configuration.
+
+    An immutable tuple of its nine fields (a :class:`typing.NamedTuple`
+    subclass): building one costs a single ``tuple.__new__``, which
+    matters because a paper pass builds one per configuration.  Every
+    construction path — keyword, positional, :meth:`from_dict`,
+    ``_make``/``_replace``, pickle and the store's line parse — runs
+    the checks in ``__new__``.  Like any tuple it compares equal to a
+    plain tuple of the same values.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        layer_name: str,
+        out_channels: int,
+        device_name: str,
+        library_name: str,
+        median_time_ms: float,
+        min_time_ms: float,
+        max_time_ms: float,
+        runs: int,
+        job_count: int,
+    ) -> "Measurement":
+        if runs < 1:
             raise MeasurementError(
-                f"{self.layer_name}: a measurement needs at least one run, got {self.runs}"
+                f"{layer_name}: a measurement needs at least one run, got {runs}"
             )
-        if self.min_time_ms <= 0:
+        if min_time_ms <= 0:
             # A zero-time run would make ``spread`` infinite and poison
             # every downstream stability report; reject it at the source.
             raise MeasurementError(
-                f"{self.layer_name} at {self.out_channels} channels: non-positive "
-                f"minimum run time {self.min_time_ms} ms"
+                f"{layer_name} at {out_channels} channels: non-positive "
+                f"minimum run time {min_time_ms} ms"
             )
-        if not self.min_time_ms <= self.median_time_ms <= self.max_time_ms:
+        if not min_time_ms <= median_time_ms <= max_time_ms:
             raise MeasurementError(
-                f"{self.layer_name} at {self.out_channels} channels: inconsistent "
-                f"run times (min={self.min_time_ms}, median={self.median_time_ms}, "
-                f"max={self.max_time_ms})"
+                f"{layer_name} at {out_channels} channels: inconsistent "
+                f"run times (min={min_time_ms}, median={median_time_ms}, "
+                f"max={max_time_ms})"
             )
+        return tuple.__new__(cls, (
+            layer_name, out_channels, device_name, library_name,
+            median_time_ms, min_time_ms, max_time_ms, runs, job_count,
+        ))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "Measurement":
+        # The NamedTuple default bypasses ``__new__`` (and so ``_replace``).
+        return cls(*iterable)
 
     @property
     def spread(self) -> float:
@@ -303,38 +339,44 @@ class ProfileRunner:
         executors are free to batch across layers.
         """
 
+        if self.runs < 1:
+            # The first check of ``Measurement.__new__``, made once per batch.
+            raise MeasurementError(
+                f"{sweeps[0][0].name}: a measurement needs at least one run, got {self.runs}"
+            )
         table = PlanTable.concat(
             [self.library.plan(layer, self.device, channels=counts) for layer, counts in sweeps]
         )
         batch = simulate_batch(table, self.device)
         noise = noise_matrix(noise_materials(self.device, table), self.runs, seed=self.seed)
         times_ms = batch.total_time_ms[:, np.newaxis] * noise
-        medians = np.median(times_ms, axis=1).tolist()
-        minima = times_ms.min(axis=1).tolist()
-        maxima = times_ms.max(axis=1).tolist()
+        medians = np.median(times_ms, axis=1)
+        minima = times_ms.min(axis=1)
+        maxima = times_ms.max(axis=1)
         configurations = len(table)
         self.simulations += configurations
         _SIMULATIONS.inc(
             configurations, device=self.device.name, library=self.library.name
         )
         _BATCH_SIZE.observe(configurations)
-        counts = [count for _, group in sweeps for count in group]
-        return [
-            Measurement(
-                layer_name=layer_name,
-                out_channels=count,
-                device_name=self.device.name,
-                library_name=self.library.name,
-                median_time_ms=median,
-                min_time_ms=minimum,
-                max_time_ms=maximum,
-                runs=self.runs,
-                job_count=jobs,
-            )
-            for layer_name, count, median, minimum, maximum, jobs in zip(
-                table.layer_names, counts, medians, minima, maxima, batch.job_counts.tolist()
-            )
-        ]
+        rows = zip(
+            table.layer_names,
+            [count for _, group in sweeps for count in group],
+            repeat(self.device.name),
+            repeat(self.library.name),
+            medians.tolist(),
+            minima.tolist(),
+            maxima.tolist(),
+            repeat(self.runs),
+            batch.job_counts.tolist(),
+        )
+        # The time checks of ``Measurement.__new__`` as one pass over the
+        # columns (NaN fails every comparison); the first bad row is
+        # rebuilt through the constructor so it raises the per-row error.
+        valid = (minima > 0) & (minima <= medians) & (medians <= maxima)
+        if not valid.all():
+            Measurement(*next(islice(rows, int(np.argmin(valid)), None)))
+        return list(map(tuple.__new__, repeat(Measurement), rows))
 
     # ------------------------------------------------------------------
     # Executor support: pending counts and cross-process adoption

@@ -45,9 +45,11 @@ STEP_STATUSES: Tuple[str, ...] = ("pending", "running", "succeeded", "failed", "
 #: Job statuses that will never change again.
 TERMINAL_STATUSES = frozenset({"succeeded", "failed", "cancelled"})
 
-#: Compact the store file once this many snapshot lines have been
-#: appended since the last compaction (checked when a job finishes), so
-#: a long-lived server's file stays proportional to its job count.
+#: Compact the store file once the snapshot lines appended since the
+#: last compaction reach this many or the job count, whichever is larger
+#: (checked when a job finishes).  A long-lived server's file stays
+#: proportional to its job count, and since each compaction rewrites one
+#: line per job it never rewrites more lines than were appended.
 COMPACT_APPEND_THRESHOLD = 256
 
 
@@ -251,9 +253,10 @@ class JobStore:
         Earlier snapshots of a job are dead weight (last line wins on
         load); compaction drops them via a tmp-file + :func:`os.replace`
         swap.  Runs automatically when a store is opened on an existing
-        file and every :data:`COMPACT_APPEND_THRESHOLD` appends once a
-        job finishes.  Returns the number of superseded or unreadable
-        lines dropped.
+        file and, when a job finishes, once the appends since the last
+        compaction reach :data:`COMPACT_APPEND_THRESHOLD` or the job
+        count, whichever is larger.  Returns the number of superseded or
+        unreadable lines dropped.
         """
 
         if self.path is None:
@@ -469,7 +472,7 @@ class JobStore:
                 **({"error": error} if error else {}),
             )
             self._commit(job)
-            if self._appends_since_compact >= COMPACT_APPEND_THRESHOLD:
+            if self._appends_since_compact >= max(COMPACT_APPEND_THRESHOLD, len(self._jobs)):
                 self.compact()
             return job
 

@@ -1,5 +1,7 @@
 """Tests for staircase detection and optimal-channel selection."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -9,6 +11,7 @@ from repro.core import (
     detect_steps,
     optimal_pruning_levels,
 )
+from repro.numerics import fold_sum
 from repro.profiling import LatencyTable, build_latency_table
 
 
@@ -74,6 +77,11 @@ class TestDetectPlateaus:
     def test_empty_input(self):
         assert detect_plateaus([], []) == []
 
+    def test_mean_adds_left_to_right_on_every_interpreter(self):
+        # Python 3.12's compensated ``sum`` would give exactly 1.0 / 10.
+        (plateau,) = detect_plateaus(list(range(1, 11)), [0.1] * 10)
+        assert plateau.mean_time_ms == 0.9999999999999999 / 10
+
 
 class TestClusterLevels:
     def test_two_levels(self):
@@ -86,6 +94,20 @@ class TestClusterLevels:
     def test_levels_sorted_ascending(self):
         levels = cluster_levels([5.0, 1.0, 3.0])
         assert levels == sorted(levels)
+
+    def test_running_fold_matches_resumming_each_level(self):
+        rng = random.Random(3)
+        times = [rng.choice((1.0, 1.7, 3.1)) * rng.uniform(0.97, 1.03) for _ in range(300)]
+        levels = []
+        for time in sorted(times):
+            for level in levels:
+                centre = fold_sum(level) / len(level)
+                if abs(time - centre) / centre <= 0.12:
+                    level.append(time)
+                    break
+            else:
+                levels.append([time])
+        assert cluster_levels(times) == [fold_sum(level) / len(level) for level in levels]
 
 
 class TestAnalyzeTable:

@@ -429,6 +429,23 @@ class TestSerializationParity:
         assert codes(findings) == ["RL005"]
         assert "runs" in findings[0].message
 
+    def test_missing_new_parameter_fires(self, tmp_path):
+        path = write_module(tmp_path, "payload.py", """
+            class Row(tuple):
+                def __new__(cls, name, runs):
+                    return tuple.__new__(cls, (name, runs))
+
+                def as_dict(self):
+                    return {"name": self[0]}
+
+                @classmethod
+                def from_dict(cls, payload):
+                    return cls(**payload)
+        """)
+        findings = run_lint([path], select=["RL005"])
+        assert codes(findings) == ["RL005"]
+        assert "as_dict" in findings[0].message and "runs" in findings[0].message
+
     def test_full_round_trip_clean(self, tmp_path):
         path = write_module(tmp_path, "payload.py", """
             class Record:

@@ -212,6 +212,31 @@ class TestPersistence:
         assert lines <= len(store.list()) + jobs_module.COMPACT_APPEND_THRESHOLD
         assert {job.status for job in JobStore(path).list()} == {"succeeded"}
 
+    def test_in_flight_compaction_is_linear_in_the_job_count(self, tmp_path, monkeypatch):
+        # Each compaction rewrites one line per job, so compacting every
+        # fixed number of appends would rewrite O(jobs**2) lines in all.
+        from repro.service import jobs as jobs_module
+
+        path = tmp_path / "jobs.jsonl"
+        store = JobStore(path)
+        rewritten = []
+        compact = store.compact
+
+        def counting_compact():
+            rewritten.append(len(store))
+            return compact()
+
+        monkeypatch.setattr(store, "compact", counting_compact)
+        jobs = 2000
+        for _ in range(jobs):
+            job = make_job(store)
+            store.mark_running(job.id)
+            store.finish(job.id, "succeeded")
+        appended = 3 * jobs  # queued, running and finished snapshots
+        assert rewritten and sum(rewritten) <= appended
+        lines = sum(1 for line in path.open() if line.strip())
+        assert lines <= 2 * jobs + jobs_module.COMPACT_APPEND_THRESHOLD
+
 
 class TestEventWaiting:
     def test_finished_job_replays_without_blocking(self):
